@@ -21,6 +21,8 @@
 // Overrides for CI fast smoke (env wins over argv):
 //   COMET_SERVE_WORKERS=2,4   (or argv[1])  worker counts to sweep
 //   COMET_SERVE_JOBS=4        (or argv[2])  number of requests to submit
+//                                           (the overload scenario raises it
+//                                           to 2x workers + queue capacity)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -306,11 +308,18 @@ int main(int argc, char** argv) {
   // policy on, batch work is shed early (a typed refusal, never a silent
   // drop — ok + shed always equals offered) and the interactive tail
   // tightens. Goodput counts completed explanations only. Honors the
-  // same COMET_SERVE_WORKERS (last entry) / COMET_SERVE_JOBS overrides.
+  // same COMET_SERVE_WORKERS (last entry) / COMET_SERVE_JOBS overrides,
+  // but never offers less than 2x capacity: below that nothing is shed
+  // and the two rows would compare two unloaded runs.
   const std::size_t ov_workers = worker_counts.back();
   const std::size_t ov_capacity = 2 * ov_workers;
-  const std::size_t ov_offered =
-      jobs_override != 0 ? jobs_override : 2 * (ov_capacity + ov_workers);
+  const std::size_t ov_min_offered = 2 * (ov_capacity + ov_workers);
+  const std::size_t ov_offered = std::max(jobs_override, ov_min_offered);
+  if (jobs_override != 0 && jobs_override < ov_min_offered) {
+    std::printf("overload: COMET_SERVE_JOBS=%zu raised to %zu (2x the %zu "
+                "workers + %zu queue slots)\n",
+                jobs_override, ov_offered, ov_workers, ov_capacity);
+  }
   print_header("Overload: 2x offered load, shedding off vs on",
                std::to_string(ov_offered) + " requests at " +
                    std::to_string(ov_workers) + " workers, queue capacity " +

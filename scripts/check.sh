@@ -27,6 +27,10 @@
 #                                     # under several fixed shuffle orders
 #                                     # (COMET_CHAOS_SEEDS schedules per
 #                                     # storm, COMET_CHAOS_ORDERS orders)
+#   scripts/check.sh --bench-smoke    # every BENCHMARK.json workload on
+#                                     # seeds 1 and 7 for 1 s, plus one
+#                                     # traced explain-uica run; fails on
+#                                     # any incorrect or failed explanation
 #   COMET_CHECK_WERROR=1 scripts/check.sh   # promote warnings to errors
 set -euo pipefail
 
@@ -54,6 +58,7 @@ for arg in "$@"; do
     --fuzz)  MODE=fuzz ;;
     --coverage) MODE=coverage ;;
     --chaos) MODE=chaos ;;
+    --bench-smoke) MODE=bench-smoke ;;
     *) echo "check.sh: unknown flag '$arg'" >&2; exit 2 ;;
   esac
 done
@@ -233,6 +238,40 @@ case "$MODE" in
       done
     done
     echo "check.sh: chaos pass green"
+    ;;
+
+  bench-smoke)
+    # Short runs of the repository benchmark (perfbench/, which builds
+    # into .bench_build/). run.py exits 0 even when an explanation does not
+    # match its committed reference, so the verdict is read from the JSON
+    # object on the last line of its output.
+    [[ "$CLEAN" == "1" ]] && rm -rf .bench_build
+    WORKLOADS=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+    bench_smoke_run() {
+      local out
+      if ! out=$(python3 perfbench/run.py "$@"); then
+        echo "check.sh: bench smoke: run.py $* exited non-zero" >&2
+        return 1
+      fi
+      if ! tail -n 1 <<<"$out" | python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)'
+      then
+        tail -n 5 <<<"$out" >&2
+        echo "check.sh: bench smoke: run.py $* is not correct" >&2
+        return 1
+      fi
+      echo "== bench smoke: $* ok =="
+    }
+    for workload in $WORKLOADS; do
+      for seed in 1 7; do
+        bench_smoke_run --workload "$workload" --seed "$seed" --seconds 1 \
+          --trace 0
+      done
+    done
+    bench_smoke_run --workload explain-uica --seed 1 --seconds 1 --trace 1
+    echo "check.sh: bench smoke green"
     ;;
 
   plain)

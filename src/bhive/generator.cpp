@@ -102,8 +102,8 @@ BlockCategory classify(const x86::BasicBlock& block) {
   bool load = false, store = false, scalar = false, vec = false;
   for (const auto& inst : block.instructions) {
     const auto sem = x86::semantics(inst);
-    load |= (sem.mem && sem.mem->read) || sem.stack_mem_read;
-    store |= (sem.mem && sem.mem->write) || sem.stack_mem_write;
+    load |= sem.loads();
+    store |= sem.stores();
     bool inst_vec = false;
     for (const auto& op : inst.operands) {
       if (op.is_reg() && x86::reg_class(op.as_reg()) == RegClass::Vec) {

@@ -68,14 +68,10 @@ std::vector<float> GraniteModel::node_features(const x86::Instruction& inst) {
     if (ra.write) reg_writes += 1.f;
     max_width = std::max(max_width, static_cast<float>(ra.reg.width_bits));
   }
-  const bool mem_read =
-      (sem.mem && sem.mem->read) || sem.stack_mem_read;
-  const bool mem_write =
-      (sem.mem && sem.mem->write) || sem.stack_mem_write;
   return {
       static_cast<float>(inst.operands.size()) / 4.f,
-      mem_read ? 1.f : 0.f,
-      mem_write ? 1.f : 0.f,
+      sem.loads() ? 1.f : 0.f,
+      sem.stores() ? 1.f : 0.f,
       sem.reads_flags ? 1.f : 0.f,
       sem.writes_flags ? 1.f : 0.f,
       reg_reads / 4.f,

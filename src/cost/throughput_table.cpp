@@ -97,35 +97,29 @@ void apply_overrides(const x86::Instruction& inst, MicroArch u,
   }
 }
 
-bool has_load(const x86::Instruction& inst) {
-  const auto sem = x86::semantics(inst);
-  return (sem.mem && sem.mem->read) || sem.stack_mem_read;
-}
-
-bool has_store(const x86::Instruction& inst) {
-  const auto sem = x86::semantics(inst);
-  return (sem.mem && sem.mem->write) || sem.stack_mem_write;
-}
-
 }  // namespace
 
-double inst_throughput(const x86::Instruction& inst, MicroArch uarch) {
+InstTiming inst_timing(const x86::Instruction& inst, MicroArch uarch,
+                       const x86::InstSemantics& sem) {
   ClassTiming t = class_timing(x86::info(inst.opcode).cls, uarch);
   apply_overrides(inst, uarch, t);
-  double rt = t.rthroughput;
+  InstTiming out{t.rthroughput, t.latency};
   // Memory port limits: two load ports (0.5 cyc/load), one store-data port.
-  if (has_load(inst)) rt = std::max(rt, 0.5);
-  if (has_store(inst)) rt = std::max(rt, 1.0);
-  return rt;
+  // A load also adds the L1 access latency to the dependency chain.
+  if (sem.loads()) {
+    out.rthroughput = std::max(out.rthroughput, 0.5);
+    out.latency += 4.0;
+  }
+  if (sem.stores()) out.rthroughput = std::max(out.rthroughput, 1.0);
+  return out;
+}
+
+double inst_throughput(const x86::Instruction& inst, MicroArch uarch) {
+  return inst_timing(inst, uarch, x86::semantics(inst)).rthroughput;
 }
 
 double inst_latency(const x86::Instruction& inst, MicroArch uarch) {
-  ClassTiming t = class_timing(x86::info(inst.opcode).cls, uarch);
-  apply_overrides(inst, uarch, t);
-  double lat = t.latency;
-  // A load adds the L1 access latency to the dependency chain.
-  if (has_load(inst)) lat += 4.0;
-  return lat;
+  return inst_timing(inst, uarch, x86::semantics(inst)).latency;
 }
 
 }  // namespace comet::cost

@@ -17,13 +17,25 @@
 
 namespace comet::cost {
 
+/// Timing of one instruction on one microarchitecture.
+struct InstTiming {
+  double rthroughput = 0.0;  ///< reciprocal throughput (cycles)
+  double latency = 0.0;      ///< result-ready latency (cycles)
+};
+
+/// Timing of `inst` on `uarch`, given its decoded semantics
+/// `sem` == x86::semantics(inst). Accounts for the opcode, operand width,
+/// and memory operands. Callers that already hold the decode (the pipeline
+/// simulator) call this directly, so each instruction is decoded once.
+InstTiming inst_timing(const x86::Instruction& inst, MicroArch uarch,
+                       const x86::InstSemantics& sem);
+
 /// Reciprocal throughput (cycles) of one instruction on `uarch`.
-/// Accounts for the opcode, operand width, and memory operands.
 double inst_throughput(const x86::Instruction& inst, MicroArch uarch);
 
 /// Instruction latency (cycles, result-ready time) on `uarch`; used by the
-/// crude model's RAW dependency cost and exposed for the simulators' tables
-/// to stay consistent with C.
+/// crude model's RAW dependency cost and kept consistent with the
+/// simulators through inst_timing.
 double inst_latency(const x86::Instruction& inst, MicroArch uarch);
 
 }  // namespace comet::cost

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 
 namespace comet::perturb {
 
@@ -21,6 +20,40 @@ using x86::Operand;
 using x86::Reg;
 using x86::RegClass;
 using x86::RegFamily;
+
+/// A set of register families: bit i stands for RegFamily i.
+using FamilyMask = std::uint64_t;
+static_assert(static_cast<unsigned>(RegFamily::kCount) <= 64);
+
+constexpr FamilyMask family_bit(RegFamily f) {
+  return FamilyMask{1} << static_cast<unsigned>(f);
+}
+
+/// Families named by the explicit operands of `inst`: register operands and
+/// the base/index registers of memory operands.
+FamilyMask operand_families(const Instruction& inst) {
+  FamilyMask m = 0;
+  for (const auto& op : inst.operands) {
+    if (op.is_reg()) {
+      m |= family_bit(op.as_reg().family);
+    } else if (op.is_mem()) {
+      const auto& mem = op.as_mem();
+      if (mem.base) m |= family_bit(mem.base->family);
+      if (mem.index) m |= family_bit(mem.index->family);
+    }
+  }
+  return m;
+}
+
+/// Every family `inst` touches: explicit operands, address registers and
+/// implicit accesses (div/mul rax/rdx, push/pop rsp, shift counts).
+FamilyMask touched_families(const Instruction& inst) {
+  FamilyMask m = 0;
+  for (const auto& a : x86::semantics(inst).regs) {
+    m |= family_bit(a.reg.family);
+  }
+  return m;
+}
 
 /// A reference to one register occurrence inside an instruction: either a
 /// plain register operand, or the base/index of a memory operand.
@@ -74,18 +107,18 @@ struct Pins {
   std::vector<bool> opcode_pinned;      // per instruction
   std::vector<bool> delete_forbidden;   // per instruction
   /// Families whose occurrences are pinned, per instruction.
-  std::vector<std::set<RegFamily>> pinned_families;
+  std::vector<FamilyMask> pinned_families;
   /// Memory operand identity pinned (explicit mem operand must stay put).
   std::vector<bool> mem_pinned;
   /// Families carrying any preserved edge anywhere (excluded as rename
   /// targets so dependency rerouting cannot destroy a preserved edge).
-  std::set<RegFamily> globally_reserved;
+  FamilyMask globally_reserved = 0;
   bool preserve_count = false;
 
   explicit Pins(std::size_t n)
       : opcode_pinned(n, false),
         delete_forbidden(n, false),
-        pinned_families(n),
+        pinned_families(n, 0),
         mem_pinned(n, false) {}
 };
 
@@ -171,9 +204,9 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     pins.delete_forbidden[e.from] = true;
     pins.delete_forbidden[e.to] = true;
     if (e.resource == DepResource::Register) {
-      pins.pinned_families[e.from].insert(e.family);
-      pins.pinned_families[e.to].insert(e.family);
-      pins.globally_reserved.insert(e.family);
+      pins.pinned_families[e.from] |= family_bit(e.family);
+      pins.pinned_families[e.to] |= family_bit(e.family);
+      pins.globally_reserved |= family_bit(e.family);
     } else if (e.resource == DepResource::Memory) {
       pins.mem_pinned[e.from] = true;
       pins.mem_pinned[e.to] = true;
@@ -186,11 +219,11 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   // replacement opcode changed how the carrying family is accessed there —
   // implicitly (a 1-operand div clobbering rax) or explicitly (cmp -> cmov
   // turning a read of the destination into a write).
-  std::vector<std::set<RegFamily>> sensitive(n);
+  std::vector<FamilyMask> sensitive(n, 0);
   for (const DepEdge& e : preserved_edges) {
     if (e.resource != DepResource::Register) continue;
     for (std::size_t v = e.from + 1; v < e.to; ++v) {
-      sensitive[v].insert(e.family);
+      sensitive[v] |= family_bit(e.family);
     }
   }
 
@@ -211,17 +244,15 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     const auto& cands = replacements_[v];
     if (cands.empty()) continue;  // e.g. lea: forced retention (Appendix D)
     const auto reroute_conflict = [&](x86::Opcode cand) {
-      if (sensitive[v].empty()) return false;
+      if (sensitive[v] == 0) return false;
       // Operands referencing a sensitive family: any access-pattern change
       // could reroute the preserved edge, so force retention.
-      for (RegFamily f : sensitive[v]) {
-        if (!occurrences_of(insts[v], f).empty()) return true;
-      }
+      if ((operand_families(insts[v]) & sensitive[v]) != 0) return true;
       const x86::Signature* sig =
           x86::find_signature(cand, insts[v].operands);
       if (sig == nullptr) return true;  // defensive: reject
       for (const auto& imp : sig->implicit) {
-        if (sensitive[v].count(imp.family)) return true;
+        if ((sensitive[v] & family_bit(imp.family)) != 0) return true;
       }
       return false;
     };
@@ -237,7 +268,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
       for (auto& op : insts[v].operands) {
         if (!op.is_reg()) continue;
         auto& r = op.as_reg();
-        if (pins.pinned_families[v].count(r.family)) continue;
+        if ((pins.pinned_families[v] & family_bit(r.family)) != 0) continue;
         const auto& pool = reg_class(r) == RegClass::Vec
                                ? x86::vec_families()
                                : x86::substitutable_gpr_families();
@@ -250,6 +281,10 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   }
 
   // 5. Edge perturbation: break non-retained hazards via operand renaming.
+  //    `touched[v]` holds the families live instruction v touches. It is
+  //    decoded once, on the first register edge, and refreshed only for an
+  //    instruction a rename has changed.
+  std::vector<FamilyMask> touched;
   for (const DepEdge* ep : free_edges) {
     const DepEdge& e = *ep;
     if (deleted[e.from] || deleted[e.to]) continue;  // already gone
@@ -279,34 +314,33 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     // touch at all, so that breaking one dependency does not accidentally
     // create a new one (which would distort the cost of unrelated feature
     // sets and bias precision estimates).
+    if (touched.empty()) {
+      touched.assign(n, 0);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (!deleted[v]) touched[v] = touched_families(insts[v]);
+      }
+    }
+    FamilyMask used = 0;
+    for (std::size_t v = 0; v < n; ++v) used |= touched[v];
     const RegClass cls = x86::reg_class(e.family);
     std::vector<RegFamily> pool, fresh;
     const auto& base_pool = cls == RegClass::Vec
                                 ? x86::vec_families()
                                 : x86::substitutable_gpr_families();
     for (RegFamily f : base_pool) {
-      if (f == e.family || pins.globally_reserved.count(f)) continue;
+      const FamilyMask b = family_bit(f);
+      if (f == e.family || (pins.globally_reserved & b) != 0) continue;
       pool.push_back(f);
-      bool used = false;
-      for (std::size_t v = 0; v < n && !used; ++v) {
-        if (deleted[v]) continue;
-        used = !occurrences_of(insts[v], f).empty();
-        if (!used) {
-          // Implicit accesses (div/mul rax/rdx, push/pop rsp) also make a
-          // family unsafe as a rename target.
-          for (const auto& a : x86::semantics(insts[v]).regs) {
-            used |= a.reg.family == f;
-          }
-        }
-      }
-      if (!used) fresh.push_back(f);
+      if ((used & b) == 0) fresh.push_back(f);
     }
     if (config_.prefer_fresh_rename && !fresh.empty()) pool = std::move(fresh);
     if (pool.empty()) continue;
 
     // Prefer renaming the consumer's occurrences; fall back to the producer.
     const auto try_rename = [&](std::size_t idx) {
-      if (pins.pinned_families[idx].count(e.family)) return false;
+      if ((pins.pinned_families[idx] & family_bit(e.family)) != 0) {
+        return false;
+      }
       const auto occs = occurrences_of(insts[idx], e.family);
       if (occs.empty()) return false;  // implicit operand: cannot rename
       const Instruction backup = insts[idx];
@@ -316,6 +350,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
         insts[idx] = backup;  // e.g. shift count must stay cl
         return false;
       }
+      touched[idx] = touched_families(insts[idx]);
       return true;
     };
     if (!try_rename(e.to)) try_rename(e.from);
@@ -388,8 +423,8 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
             pins.delete_forbidden[e.from] = true;
             pins.delete_forbidden[e.to] = true;
             if (e.resource == DepResource::Register) {
-              pins.pinned_families[e.from].insert(e.family);
-              pins.pinned_families[e.to].insert(e.family);
+              pins.pinned_families[e.from] |= family_bit(e.family);
+              pins.pinned_families[e.to] |= family_bit(e.family);
             }
           }
         }
@@ -416,7 +451,7 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
     const auto& inst = block_.instructions[v];
     for (const auto& op : inst.operands) {
       const auto count_family = [&](RegFamily fam, RegClass cls) {
-        if (pins.pinned_families[v].count(fam)) return;
+        if ((pins.pinned_families[v] & family_bit(fam)) != 0) return;
         const std::size_t pool = cls == RegClass::Vec
                                      ? x86::vec_families().size()
                                      : x86::substitutable_gpr_families().size();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -109,6 +108,17 @@ std::string mem_key(const x86::MemOperand& m) {
   return k;
 }
 
+// Fused-domain uops: one compute uop, one load uop, and a store-address
+// plus a store-data uop.
+int uops_of(const x86::InstSemantics& sem) {
+  return 1 + (sem.loads() ? 1 : 0) + (sem.stores() ? 2 : 0);
+}
+
+/// Sentinel slot id: the instruction has no explicit memory access.
+constexpr std::size_t kNoMemSlot = static_cast<std::size_t>(-1);
+
+/// Everything the simulation loop needs from one instruction, decoded from
+/// a single x86::semantics call before the loop starts.
 struct DecodedInst {
   x86::InstSemantics sem;
   std::uint16_t ports;
@@ -117,34 +127,69 @@ struct DecodedInst {
   bool zero_idiom;
   bool load;
   bool store;
+  bool stack_engine;  ///< push/pop: rsp is renamed at issue
   int uops;
+  /// Per-block slot of the explicit memory operand's address expression;
+  /// equal slots are the same location. kNoMemSlot without one.
+  std::size_t mem_slot = kNoMemSlot;
 };
 
 DecodedInst decode(const x86::Instruction& inst, MicroArch u,
-                   const SimOptions& opt) {
+                   const SimOptions& opt,
+                   std::vector<std::string>& mem_slots) {
   DecodedInst d;
   d.sem = x86::semantics(inst);
   const auto& inf = x86::info(inst.opcode);
   d.ports = compute_ports(inf.cls, u);
-  d.load = (d.sem.mem && d.sem.mem->read) || d.sem.stack_mem_read;
-  d.store = (d.sem.mem && d.sem.mem->write) || d.sem.stack_mem_write;
+  d.load = d.sem.loads();
+  d.store = d.sem.stores();
+  d.stack_engine = inf.cls == OpClass::Stack;
+  d.uops = uops_of(d.sem);
 
-  double lat = cost::inst_latency(inst, u) * opt.latency_scale;
+  const cost::InstTiming timing = cost::inst_timing(inst, u, d.sem);
+  double lat = timing.latency * opt.latency_scale;
   if (opt.round_latencies) lat = std::max(1.0, std::round(lat));
   d.latency = lat;
 
   // Non-pipelined units (dividers) occupy their port for the reciprocal
   // throughput; pipelined ops occupy one cycle.
-  const double rt = cost::inst_throughput(inst, u);
+  const double rt = timing.rthroughput;
   const bool divider =
       inf.cls == OpClass::IntDiv || inf.cls == OpClass::FpDiv;
   d.occupancy = divider ? rt + opt.div_occupancy_extra
                         : std::min(1.0, std::max(0.25, rt));
 
   d.zero_idiom = opt.zero_idiom && is_zero_idiom(inst);
-  d.uops = uop_count(inst);
+
+  if (d.sem.mem) {
+    const std::string key = mem_key(d.sem.mem->mem);
+    const auto it = std::find(mem_slots.begin(), mem_slots.end(), key);
+    d.mem_slot = static_cast<std::size_t>(it - mem_slots.begin());
+    if (it == mem_slots.end()) mem_slots.push_back(key);
+  }
   return d;
 }
+
+/// Ready times of the values last written into a set of locations, with a
+/// flag per location for "written yet".
+class ReadyTable {
+ public:
+  explicit ReadyTable(std::size_t size) : ready_(size), written_(size) {}
+
+  /// max(t, ready time of `slot`) if `slot` has been written, else t.
+  double gate(double t, std::size_t slot) const {
+    return written_[slot] ? std::max(t, ready_[slot]) : t;
+  }
+  void set(std::size_t slot, double t) {
+    ready_[slot] = t;
+    written_[slot] = 1;
+  }
+  void clear() { std::fill(written_.begin(), written_.end(), 0); }
+
+ private:
+  std::vector<double> ready_;
+  std::vector<unsigned char> written_;
+};
 
 }  // namespace
 
@@ -174,11 +219,7 @@ bool is_zero_idiom(const x86::Instruction& inst) {
 }
 
 int uop_count(const x86::Instruction& inst) {
-  const auto sem = x86::semantics(inst);
-  int uops = 1;
-  if ((sem.mem && sem.mem->read) || sem.stack_mem_read) uops += 1;
-  if ((sem.mem && sem.mem->write) || sem.stack_mem_write) uops += 2;
-  return uops;
+  return uops_of(x86::semantics(inst));
 }
 
 double simulate_throughput(const x86::BasicBlock& block,
@@ -188,15 +229,17 @@ double simulate_throughput(const x86::BasicBlock& block,
 
   std::vector<DecodedInst> dec;
   dec.reserve(block.size());
+  std::vector<std::string> mem_slots;
   int uops_per_iter = 0;
   for (const auto& inst : block.instructions) {
-    dec.push_back(decode(inst, uarch, opt));
+    dec.push_back(decode(inst, uarch, opt, mem_slots));
     uops_per_iter += dec.back().uops;
   }
 
   PortFile ports;
-  std::map<x86::RegFamily, double> reg_ready;
-  std::map<std::string, double> mem_ready;
+  const auto fam = [](x86::RegFamily f) { return static_cast<std::size_t>(f); };
+  ReadyTable reg_ready(fam(x86::RegFamily::kCount));
+  ReadyTable mem_ready(mem_slots.size());
   long uops_issued = 0;
   double iter_mark_mid = 0.0;
   double iter_mark_end = 0.0;
@@ -223,7 +266,6 @@ double simulate_throughput(const x86::BasicBlock& block,
     const bool in_window = it >= mid;
     for (std::size_t i = 0; i < block.size(); ++i) {
       const auto& d = dec[i];
-      const auto& inst = block.instructions[i];
 
       // Front-end: in-order issue of fused-domain uops, W per cycle.
       const double frontend =
@@ -231,22 +273,14 @@ double simulate_throughput(const x86::BasicBlock& block,
       uops_issued += d.uops;
 
       double ready = frontend;
-      if (!d.zero_idiom && opt.model_loop_carried) {
+      if (!d.zero_idiom) {
         for (const auto& a : d.sem.regs) {
-          if (!a.read) continue;
-          const auto it2 = reg_ready.find(a.reg.family);
-          if (it2 != reg_ready.end()) ready = std::max(ready, it2->second);
+          if (a.read) ready = reg_ready.gate(ready, fam(a.reg.family));
         }
-        if (d.sem.mem && d.sem.mem->read) {
-          const auto it2 = mem_ready.find(mem_key(d.sem.mem->mem));
-          if (it2 != mem_ready.end()) ready = std::max(ready, it2->second);
-        }
-      } else if (!d.zero_idiom) {
-        // Intra-iteration dependencies only (MCA-like configurations).
-        for (const auto& a : d.sem.regs) {
-          if (!a.read) continue;
-          const auto it2 = reg_ready.find(a.reg.family);
-          if (it2 != reg_ready.end()) ready = std::max(ready, it2->second);
+        // MCA-like configurations (no loop-carried tracking) follow
+        // register dependencies within an iteration, and no memory ones.
+        if (opt.model_loop_carried && d.sem.mem && d.sem.mem->read) {
+          ready = mem_ready.gate(ready, d.mem_slot);
         }
       }
       const double dep_ready = ready;  // before port availability
@@ -292,18 +326,15 @@ double simulate_throughput(const x86::BasicBlock& block,
 
       // The stack engine renames rsp at issue: push/pop do not put the
       // stack-pointer update on the latency-critical path.
-      const bool stack_engine = x86::info(inst.opcode).cls == OpClass::Stack;
       for (const auto& a : d.sem.regs) {
         if (!a.write) continue;
-        if (stack_engine && a.reg.family == x86::RegFamily::RSP) {
-          reg_ready[a.reg.family] = frontend + 1.0;
+        if (d.stack_engine && a.reg.family == x86::RegFamily::RSP) {
+          reg_ready.set(fam(a.reg.family), frontend + 1.0);
         } else {
-          reg_ready[a.reg.family] = finish;
+          reg_ready.set(fam(a.reg.family), finish);
         }
       }
-      if (d.sem.mem && d.sem.mem->write) {
-        mem_ready[mem_key(d.sem.mem->mem)] = finish;
-      }
+      if (d.sem.mem && d.sem.mem->write) mem_ready.set(d.mem_slot, finish);
       if (!opt.model_loop_carried && i + 1 == block.size()) {
         reg_ready.clear();
         mem_ready.clear();

@@ -62,6 +62,11 @@ struct InstSemantics {
   bool stack_mem_write = false;
   bool reads_flags = false;
   bool writes_flags = false;
+
+  /// Does the instruction read memory (explicit operand or stack)?
+  bool loads() const { return (mem && mem->read) || stack_mem_read; }
+  /// Does the instruction write memory (explicit operand or stack)?
+  bool stores() const { return (mem && mem->write) || stack_mem_write; }
 };
 
 /// Compute the access semantics of `inst`. Throws std::invalid_argument if

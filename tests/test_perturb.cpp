@@ -3,7 +3,10 @@
 // and perturbation-space size estimation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/features.h"
 #include "perturb/perturber.h"
@@ -312,5 +315,108 @@ TEST(SpaceSize, MonotonicityProperty) {
     const double cur = p.log10_space_size(acc);
     EXPECT_LE(cur, prev + 1e-9);
     prev = cur;
+  }
+}
+
+// ---------- golden fingerprints ----------
+
+namespace {
+
+// Blocks chosen to reach every path of Γ that reads instruction semantics:
+// implicit register accesses (div/mul/push/pop/cdq, shift by cl), vector
+// renames, and memory-carried dependencies.
+const char* const kGoldenBlocks[] = {
+    kMotivating,
+    R"(
+      div rcx
+      mul rsi
+      push rbx
+      pop rdx
+      cdq
+      shl rax, cl
+      add rdx, rax
+    )",
+    R"(
+      vaddps xmm0, xmm1, xmm2
+      vmulps xmm3, xmm0, xmm0
+      movaps xmm1, xmm3
+      addss xmm2, xmm1
+      vxorps xmm4, xmm3, xmm2
+    )",
+    R"(
+      mov qword ptr [rdi + 8], rax
+      mov rcx, qword ptr [rdi + 8]
+      add rcx, qword ptr [rsi + rdx*4]
+      mov dword ptr [rsi + rdx*4], ecx
+      imul rax, rcx
+    )",
+};
+
+// The four preserved sets: ∅, one instruction, the register dependency
+// spanning the most instructions (so rerouting checks run), and η.
+std::vector<cg::FeatureSet> golden_preserved_sets(const cp::Perturber& p) {
+  std::vector<cg::FeatureSet> sets(4);
+  sets[1].insert(cg::Feature(
+      cg::InstFeature{0, p.block().instructions[0].opcode}));
+  const cg::DepEdge* widest = nullptr;
+  for (const auto& e : p.dep_graph().edges()) {
+    if (e.resource != cg::DepResource::Register) continue;
+    if (widest == nullptr || e.to - e.from > widest->to - widest->from) {
+      widest = &e;
+    }
+  }
+  if (widest != nullptr) {
+    sets[2].insert(
+        cg::Feature(cg::DepFeature{widest->from, widest->to, widest->kind}));
+  }
+  sets[3].insert(cg::Feature(cg::NumInstsFeature{p.block().size()}));
+  return sets;
+}
+
+// FNV-1a over every sample's text and original-position mapping.
+std::uint64_t golden_fingerprint(const char* text,
+                                 const cp::PerturbConfig& cfg) {
+  cp::Perturber p(bb(text), {}, cfg);
+  std::string acc;
+  Rng rng(20261018);
+  for (const auto& fs : golden_preserved_sets(p)) {
+    for (int i = 0; i < 150; ++i) {
+      const auto s = p.sample(fs, rng);
+      acc += s.block.to_string();
+      for (std::size_t k : s.orig_index) acc += std::to_string(k) + ',';
+      acc += ';';
+    }
+  }
+  return comet::util::fnv1a64(acc.data(), acc.size());
+}
+
+}  // namespace
+
+// Pins Γ's output bit for bit: the values were recorded before the family
+// bitmask rewrite of the rename step and must never move under a pure
+// performance change.
+TEST(PerturberGolden, SampleFingerprintsAreStable) {
+  cp::PerturbConfig plain;
+  cp::PerturbConfig no_fresh;
+  no_fresh.prefer_fresh_rename = false;
+  cp::PerturbConfig whole;
+  whole.whole_instruction_replacement = true;
+  const cp::PerturbConfig configs[] = {plain, no_fresh, whole};
+  const std::uint64_t expected[4][3] = {
+      {11879432364697068818ull, 5225341245406898214ull,
+       7926246511205688219ull},
+      {15066650546494149370ull, 2873395567333580083ull,
+       10734028727818159443ull},
+      {2402239690039329358ull, 12275582594972314098ull,
+       2199670045076309709ull},
+      {17990578896080952762ull, 2953125255438296713ull,
+       14496517035736874742ull},
+  };
+  for (std::size_t b = 0; b < 4; ++b) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(golden_fingerprint(kGoldenBlocks[b], configs[c]),
+                expected[b][c])
+          << "block " << b << " config " << c;
+    }
   }
 }

@@ -2,8 +2,15 @@
 // (hardware oracle, uiCA stand-in, MCA-like static model).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "cost/throughput_table.h"
 #include "sim/models.h"
 #include "sim/pipeline.h"
+#include "util/rng.h"
 #include "x86/parser.h"
 
 namespace cs = comet::sim;
@@ -206,3 +213,225 @@ INSTANTIATE_TEST_SUITE_P(
                       "mov qword ptr [rdi + 8], rax\nmov rcx, qword ptr [rdi + 8]",
                       "vdivss xmm0, xmm0, xmm6\nvmulss xmm7, xmm0, xmm0",
                       "push rbx\npop rcx\npush rdx\npop rsi"));
+
+// ---------- golden values ----------
+//
+// Recorded before the simulator decoded each instruction once per block;
+// a pure performance change must reproduce every bit.
+
+namespace {
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// Blocks covering the simulator's state: memory operands that alias while
+// differing in access width, the rsp stack engine, zero idioms, dividers,
+// and indexed read-modify-write memory.
+const char* const kSimGoldenBlocks[] = {
+    "add rcx, rax\nmov rdx, rcx\npop rbx",
+    R"(
+      mov dword ptr [rdi + 8], eax
+      mov rcx, qword ptr [rdi + 8]
+      add cl, byte ptr [rdi + 8]
+      mov word ptr [rdi + 8], cx
+      add rax, rcx
+    )",
+    R"(
+      push rbx
+      pop rcx
+      push rdx
+      mov rax, qword ptr [rsp + 8]
+      pop rsi
+      add rax, rsi
+    )",
+    R"(
+      xor eax, eax
+      add rax, rcx
+      pxor xmm1, xmm1
+      addps xmm1, xmm2
+      vxorps xmm0, xmm5, xmm5
+      sub edx, edx
+      imul rdx, rax
+      addss xmm0, xmm1
+    )",
+    R"(
+      div rcx
+      mov rsi, 3
+      imul rax, r15
+      sqrtsd xmm0, xmm1
+      divss xmm2, xmm0
+    )",
+    R"(
+      add qword ptr [rdi + rdx*8 + 16], rax
+      mov rax, qword ptr [rdi + rdx*8 + 16]
+      mov qword ptr [rsi], rax
+      mov rbx, qword ptr [rsi + 8]
+      add rbx, qword ptr [rsi]
+    )",
+};
+constexpr std::size_t kNumSimGoldenBlocks = std::size(kSimGoldenBlocks);
+
+// Oracle, uiCA-like and MCA-like configurations (as in models.cpp), plus
+// the dependency-only configuration the bottleneck analysis uses.
+std::vector<cs::SimOptions> golden_sim_options() {
+  cs::SimOptions oracle;
+  cs::SimOptions uica;
+  uica.latency_scale = 1.05;
+  uica.round_latencies = true;
+  uica.div_occupancy_extra = 1.0;
+  cs::SimOptions mca;
+  mca.model_loop_carried = false;
+  mca.zero_idiom = false;
+  mca.round_latencies = true;
+  cs::SimOptions dep_only;
+  dep_only.ignore_ports = true;
+  return {oracle, uica, mca, dep_only};
+}
+
+std::uint64_t trace_digest(const cs::SimTrace& t) {
+  std::string acc;
+  for (double b : t.port_busy) acc += std::to_string(bits_of(b)) + ',';
+  acc += std::to_string(t.window_iterations) + ',' +
+         std::to_string(t.uops_per_iteration) + ';';
+  for (const auto* v : {&t.frontend_stalls, &t.dependency_stalls,
+                        &t.port_stalls}) {
+    for (int c : *v) acc += std::to_string(c) + ',';
+    acc += ';';
+  }
+  return comet::util::fnv1a64(acc.data(), acc.size());
+}
+
+}  // namespace
+
+TEST(SimGolden, ThroughputBitsAreStable) {
+  // [block][options: oracle, uica, mca, dep-only][uarch: HSW, SKL]
+  const std::uint64_t expected[kNumSimGoldenBlocks][4][2] = {
+      {{0x3ff0000000000000ull, 0x3ff0000000000000ull},
+       {0x3ff0000000000000ull, 0x3ff0000000000000ull},
+       {0x3ff0000000000000ull, 0x3ff0000000000000ull},
+       {0x3ff0000000000000ull, 0x3ff0000000000000ull}},
+      {{0x4028000000000000ull, 0x4028000000000000ull},
+       {0x4028000000000000ull, 0x4028000000000000ull},
+       {0x4018000000000000ull, 0x4018000000000000ull},
+       {0x4028000000000000ull, 0x4028000000000000ull}},
+      {{0x400a000000000000ull, 0x400a000000000000ull},
+       {0x400a000000000000ull, 0x400a000000000000ull},
+       {0x400a000000000000ull, 0x400a000000000000ull},
+       {0x400a000000000000ull, 0x400a000000000000ull}},
+      {{0x4010000000000000ull, 0x4004200000000000ull},
+       {0x4010000000000000ull, 0x4004200000000000ull},
+       {0x4014000000000000ull, 0x4005800000000000ull},
+       {0x4000000000000000ull, 0x4000000000000000ull}},
+      {{0x4048800000000000ull, 0x4041800000000000ull},
+       {0x404a000000000000ull, 0x4043000000000000ull},
+       {0x4048800000000000ull, 0x4041800000000000ull},
+       {0x4040000000000000ull, 0x403b000000000000ull}},
+      {{0x4024000000000000ull, 0x4024000000000000ull},
+       {0x4024000000000000ull, 0x4024000000000000ull},
+       {0x4016000000000000ull, 0x4016000000000000ull},
+       {0x4024000000000000ull, 0x4024000000000000ull}},
+  };
+  // FNV-1a of every SimTrace counter, per block, over options x uarch.
+  const std::uint64_t expected_trace[kNumSimGoldenBlocks] = {
+      0xffa2dc27ac955dc9ull,
+      0x997bb53a708d003full,
+      0x741bb5667719b521ull,
+      0x9981dac39b20fa37ull,
+      0x0e8623ba97e702ebull,
+      0xc1db81b6a8051a71ull,
+  };
+  const auto options = golden_sim_options();
+  const cc::MicroArch uarchs[] = {HSW, SKL};
+  for (std::size_t b = 0; b < kNumSimGoldenBlocks; ++b) {
+    const auto block = bb(kSimGoldenBlocks[b]);
+    std::string traces;
+    for (std::size_t o = 0; o < options.size(); ++o) {
+      for (std::size_t u = 0; u < 2; ++u) {
+        const double plain =
+            cs::simulate_throughput(block, uarchs[u], options[o]);
+        cs::SimTrace trace;
+        const double traced =
+            cs::simulate_throughput(block, uarchs[u], options[o], &trace);
+        EXPECT_EQ(bits_of(plain), expected[b][o][u])
+            << "block " << b << " options " << o << " uarch " << u;
+        EXPECT_EQ(bits_of(traced), bits_of(plain))
+            << "block " << b << " options " << o << " uarch " << u;
+        traces += std::to_string(trace_digest(trace)) + ';';
+      }
+    }
+    EXPECT_EQ(comet::util::fnv1a64(traces.data(), traces.size()),
+              expected_trace[b])
+        << "block " << b;
+    // The cost models run exactly these configurations.
+    EXPECT_EQ(bits_of(cs::HardwareOracle(HSW).predict(block)),
+              expected[b][0][0]);
+    EXPECT_EQ(bits_of(cs::UiCASimModel(HSW).predict(block)),
+              expected[b][1][0]);
+    EXPECT_EQ(bits_of(cs::McaLikeModel(SKL).predict(block)),
+              expected[b][2][1]);
+  }
+}
+
+TEST(SimGolden, InstructionTimingsAreStable) {
+  struct Timing {
+    const char* text;
+    double latency_hsw, throughput_hsw, latency_skl, throughput_skl;
+    int uops;
+  };
+  const Timing expected[] = {
+      {"add rax, rcx", 1.0, 0.25, 1.0, 0.25, 1},
+      {"add rax, qword ptr [rdi]", 5.0, 0.5, 5.0, 0.5, 2},
+      {"add qword ptr [rdi], rax", 5.0, 1.0, 5.0, 1.0, 4},
+      {"mov qword ptr [rdi], rax", 1.0, 1.0, 1.0, 1.0, 3},
+      {"mov rax, qword ptr [rdi + 8]", 5.0, 0.5, 5.0, 0.5, 2},
+      {"mov dword ptr [rdi + 8], eax", 1.0, 1.0, 1.0, 1.0, 3},
+      {"push rbx", 2.0, 1.0, 2.0, 1.0, 3},
+      {"pop rcx", 6.0, 1.0, 6.0, 1.0, 2},
+      {"div rcx", 29.0, 22.0, 24.0, 18.0, 1},
+      {"div ecx", 22.0, 10.0, 18.0, 9.0, 1},
+      {"div cx", 17.0, 9.0, 14.0, 7.0, 1},
+      {"div cl", 15.0, 8.0, 12.0, 6.0, 1},
+      {"idiv rsi", 29.0, 22.0, 24.0, 18.0, 1},
+      {"mul rsi", 4.0, 2.0, 4.0, 2.0, 1},
+      {"imul rax, rcx", 3.0, 1.0, 3.0, 1.0, 1},
+      {"imul rax, qword ptr [rdi + 8]", 7.0, 1.0, 7.0, 1.0, 2},
+      {"shl rax, 3", 1.0, 0.5, 1.0, 0.5, 1},
+      {"shl rax, cl", 1.0, 0.5, 1.0, 0.5, 1},
+      {"lea rdx, [rax + 8]", 1.0, 0.5, 1.0, 0.5, 1},
+      {"popcnt rax, rcx", 1.0, 0.25, 1.0, 0.25, 1},
+      {"bsf rax, rcx", 3.0, 1.0, 3.0, 1.0, 1},
+      {"xchg rax, rcx", 2.0, 1.0, 2.0, 1.0, 1},
+      {"cdq", 1.0, 0.25, 1.0, 0.25, 1},
+      {"nop", 0.0, 0.25, 0.0, 0.25, 1},
+      {"vfmadd231ss xmm1, xmm2, xmm3", 5.0, 0.5, 4.0, 0.5, 1},
+      {"pshufd xmm0, xmm1, 2", 1.0, 1.0, 1.0, 1.0, 1},
+      {"cvtsi2ss xmm0, eax", 5.0, 1.0, 5.0, 1.0, 1},
+      {"addss xmm0, xmm1", 3.0, 1.0, 4.0, 0.5, 1},
+      {"addss xmm0, dword ptr [rdi]", 7.0, 1.0, 8.0, 0.5, 2},
+      {"mulps xmm0, xmm1", 5.0, 0.5, 4.0, 0.5, 1},
+      {"divss xmm0, xmm1", 13.0, 7.0, 11.0, 3.0, 1},
+      {"divsd xmm0, xmm1", 20.0, 14.0, 14.0, 4.0, 1},
+      {"sqrtpd xmm0, xmm1", 20.0, 16.0, 14.0, 8.0, 1},
+      {"vdivps xmm0, xmm1, xmm2", 13.0, 7.0, 11.0, 5.0, 1},
+      {"vdivss xmm0, xmm0, xmm6", 13.0, 7.0, 11.0, 3.0, 1},
+      {"pmulld xmm0, xmm1", 10.0, 2.0, 8.0, 1.0, 1},
+      {"xor eax, eax", 1.0, 0.25, 1.0, 0.25, 1},
+  };
+  for (const auto& t : expected) {
+    const auto inst = cx::parse_instruction(t.text);
+    EXPECT_EQ(bits_of(cc::inst_latency(inst, HSW)), bits_of(t.latency_hsw))
+        << t.text;
+    EXPECT_EQ(bits_of(cc::inst_throughput(inst, HSW)),
+              bits_of(t.throughput_hsw))
+        << t.text;
+    EXPECT_EQ(bits_of(cc::inst_latency(inst, SKL)), bits_of(t.latency_skl))
+        << t.text;
+    EXPECT_EQ(bits_of(cc::inst_throughput(inst, SKL)),
+              bits_of(t.throughput_skl))
+        << t.text;
+    EXPECT_EQ(cs::uop_count(inst), t.uops) << t.text;
+  }
+}
