@@ -407,6 +407,13 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
     std::size_t pulls_done = arms.size();
     const std::size_t B = std::min(options_.beam_width, arms.size());
     std::vector<std::size_t> order(arms.size());
+    // The challenger bound of each distinct (hits, pulls) pair, per round.
+    struct ArmBound {
+      std::size_t hits;
+      std::size_t pulls;
+      double ub;
+    };
+    std::vector<ArmBound> bounds;
     // Uniform-allocation baseline (ablation): spend the same budget
     // round-robin instead of adaptively.
     std::size_t rr = 0;
@@ -434,12 +441,25 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
           weakest = order[i];
         }
       }
-      // Strongest challenger outside the top set.
+      // Strongest challenger outside the top set. Arms with the same
+      // (hits, pulls) have the same bound, so each distinct pair is bounded
+      // once per round; the scan and its strict > tie-break are unchanged.
       std::size_t challenger = order[0];
       double challenger_ub = -std::numeric_limits<double>::infinity();
+      bounds.clear();
       for (std::size_t i = B; i < order.size(); ++i) {
         const Arm& a = arms[order[i]];
-        const double ub = util::kl_upper_bound(a.mean(), a.pulls, level_beta);
+        const auto seen = std::find_if(
+            bounds.begin(), bounds.end(), [&](const ArmBound& b) {
+              return b.hits == a.hits && b.pulls == a.pulls;
+            });
+        double ub = 0.0;
+        if (seen != bounds.end()) {
+          ub = seen->ub;
+        } else {
+          ub = util::kl_upper_bound(a.mean(), a.pulls, level_beta);
+          bounds.push_back({a.hits, a.pulls, ub});
+        }
         if (ub > challenger_ub) {
           challenger_ub = ub;
           challenger = order[i];

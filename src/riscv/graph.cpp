@@ -1,7 +1,7 @@
 #include "riscv/graph.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 namespace comet::riscv {
 
@@ -34,13 +34,13 @@ DepGraph DepGraph::build(const BasicBlock& block,
     const auto& sj = sems[j];
     // Register hazards: scan backwards; nearest_only stops at the first
     // conflicting access per (register, kind).
-    std::map<std::pair<std::uint8_t, int>, bool> linked;
+    bool linked[32][3] = {};
     for (std::size_t bi = j; bi-- > 0;) {
       const auto& si = sems[bi];
       const auto add = [&](DepKind kind, Reg r) {
-        const auto key = std::pair<std::uint8_t, int>(r.index, int(kind));
-        if (options.nearest_only && linked[key]) return;
-        linked[key] = true;
+        bool& seen = linked[r.index][static_cast<int>(kind)];
+        if (options.nearest_only && seen) return;
+        seen = true;
         DepEdge e;
         e.from = bi;
         e.to = j;

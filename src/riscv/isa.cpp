@@ -1,6 +1,7 @@
 #include "riscv/isa.h"
 
 #include <array>
+#include <charconv>
 #include <unordered_map>
 
 #include "util/str.h"
@@ -16,13 +17,6 @@ constexpr std::array<OpcodeInfo, kNumOpcodes> kCatalog = {{
 #undef COMET_RV_INFO
 }};
 
-constexpr std::array<std::string_view, 32> kAbiNames = {
-    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
-    "a1",   "a2", "a3", "a4", "a5", "t3", "t4", "t5", "t6", "s2", "s3",
-    "s4",   "s5", "s6", "s7", "s8", "s9", "s10", "s11", "a6", "a7"};
-// Note: index here is a presentation order; the canonical mapping below
-// assigns each ABI name its architectural register number.
-
 struct AbiEntry {
   std::string_view name;
   std::uint8_t index;
@@ -36,6 +30,16 @@ constexpr std::array<AbiEntry, 33> kAbiMap = {{
     {"s8", 24},  {"s9", 25}, {"s10", 26}, {"s11", 27}, {"t3", 28},
     {"t4", 29},  {"t5", 30}, {"t6", 31},
 }};
+
+// reg_name's table: each register's first name in kAbiMap, skipping the
+// "fp" alias of s0.
+constexpr std::array<std::string_view, 32> kRegNames = [] {
+  std::array<std::string_view, 32> names{};
+  for (const auto& e : kAbiMap) {
+    if (e.name != "fp" && names[e.index].empty()) names[e.index] = e.name;
+  }
+  return names;
+}();
 
 bool imm_fits(std::int64_t v, int bits) {
   const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
@@ -90,10 +94,7 @@ std::span<const Opcode> replacement_opcodes(Opcode op) {
 }
 
 std::string_view reg_name(Reg r) {
-  for (const auto& e : kAbiMap) {
-    if (e.index == r.index && e.name != "fp") return e.name;
-  }
-  return kAbiNames[0];
+  return r.index < kRegNames.size() ? kRegNames[r.index] : kRegNames[0];
 }
 
 std::optional<Reg> parse_reg(std::string_view name) {
@@ -113,38 +114,70 @@ std::optional<Reg> parse_reg(std::string_view name) {
   return std::nullopt;
 }
 
-std::string Instruction::to_string() const {
-  const auto& inf = info(opcode);
-  std::string out(inf.mnemonic);
+namespace {
+
+void append_imm(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+// Appends the instruction's text to `out`: the memo key of every model
+// query is built this way, so no temporaries.
+void append_instruction(std::string& out, const Instruction& inst) {
+  const auto& inf = info(inst.opcode);
+  out += inf.mnemonic;
   out += ' ';
   switch (inf.format) {
     case Format::R:
-      out += std::string(reg_name(rd)) + ", " + std::string(reg_name(rs1)) +
-             ", " + std::string(reg_name(rs2));
+      out += reg_name(inst.rd);
+      out += ", ";
+      out += reg_name(inst.rs1);
+      out += ", ";
+      out += reg_name(inst.rs2);
       break;
     case Format::I:
-      out += std::string(reg_name(rd)) + ", " + std::string(reg_name(rs1)) +
-             ", " + std::to_string(imm);
+      out += reg_name(inst.rd);
+      out += ", ";
+      out += reg_name(inst.rs1);
+      out += ", ";
+      append_imm(out, inst.imm);
       break;
     case Format::U:
-      out += std::string(reg_name(rd)) + ", " + std::to_string(imm);
+      out += reg_name(inst.rd);
+      out += ", ";
+      append_imm(out, inst.imm);
       break;
     case Format::Load:
-      out += std::string(reg_name(rd)) + ", " + std::to_string(imm) + "(" +
-             std::string(reg_name(rs1)) + ")";
-      break;
     case Format::Store:
-      out += std::string(reg_name(rs2)) + ", " + std::to_string(imm) + "(" +
-             std::string(reg_name(rs1)) + ")";
+      out += reg_name(inf.format == Format::Load ? inst.rd : inst.rs2);
+      out += ", ";
+      append_imm(out, inst.imm);
+      out += '(';
+      out += reg_name(inst.rs1);
+      out += ')';
       break;
   }
+}
+
+// Room for the longest valid instruction text ("sltiu s10, s11, -2048")
+// and its newline.
+constexpr std::size_t kMaxInstructionText = 24;
+
+}  // namespace
+
+std::string Instruction::to_string() const {
+  std::string out;
+  out.reserve(kMaxInstructionText);
+  append_instruction(out, *this);
   return out;
 }
 
 std::string BasicBlock::to_string() const {
   std::string out;
+  out.reserve(kMaxInstructionText * instructions.size());
   for (const auto& inst : instructions) {
-    out += inst.to_string();
+    append_instruction(out, inst);
     out += '\n';
   }
   return out;

@@ -19,6 +19,7 @@
 // signature matching.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -134,11 +135,26 @@ struct BasicBlock {
   bool operator==(const BasicBlock&) const = default;
 };
 
+/// The registers one instruction reads, stored inline: no RV64IM format
+/// reads more than two.
+class RegList {
+ public:
+  void push_back(Reg r) { regs_[size_++] = r; }
+  const Reg* begin() const { return regs_.data(); }
+  const Reg* end() const { return regs_.data() + size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::array<Reg, 2> regs_{};
+  std::uint8_t size_ = 0;
+};
+
 /// Registers read / written by `inst`. Writes to x0 are discarded by the
 /// hardware and therefore reported as no write at all; reads of x0 carry
 /// no dependency and are likewise omitted.
 struct RvSemantics {
-  std::vector<Reg> reads;
+  RegList reads;
   std::optional<Reg> write;
   bool mem_read = false;
   bool mem_write = false;

@@ -62,6 +62,14 @@ class RvPerturber {
   DepGraphOptions graph_options_;
   RvPerturbConfig config_;
   DepGraph graph_;
+  // Constants of the target block that sample() reads instead of
+  // recomputing: each instruction's is_valid opcode replacements, the
+  // registers the block names (bit r = register r), and for each edge of
+  // graph_ the id of its (from, to, kind) group.
+  std::vector<std::vector<Opcode>> replacements_;
+  std::uint32_t used_regs_ = 0;
+  std::vector<std::size_t> edge_group_;
+  std::size_t num_groups_ = 0;
 };
 
 }  // namespace comet::riscv

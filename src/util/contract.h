@@ -80,7 +80,9 @@ class ContractViolation : public std::logic_error {
 #if COMET_DCHECK_ENABLED
 #define COMET_DCHECK(cond) COMET_CHECK(cond)
 #else
+// Unevaluated: the condition is neither run nor left unused.
 #define COMET_DCHECK(cond) \
   do {                     \
+    (void)sizeof(cond);    \
   } while (false)
 #endif

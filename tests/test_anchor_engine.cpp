@@ -3,9 +3,13 @@
 // model query flows through the query broker's batch path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
 
 #include "core/comet.h"
+#include "cost/crude_model.h"
 #include "riscv/cost.h"
 #include "riscv/explain.h"
 #include "riscv/parser.h"
@@ -201,6 +205,32 @@ TEST(AnchorEngine, GoldenSeedParityWithPreRefactorEngine) {
   EXPECT_DOUBLE_EQ(expl.precision, 1.0);
   EXPECT_NEAR(expl.coverage, 0.6333333333333333, 1e-12);
   EXPECT_EQ(expl.model_queries, 1933u);
+}
+
+// Pins the KL-LUCB rounds with fused arm pulls on the crude model.
+// Recorded before the challenger's upper bound was computed once per
+// distinct (hits, pulls) pair.
+TEST(AnchorEngine, GoldenSeedParityKlLucbFusedPulls) {
+  const ck::CrudeModel model(ck::MicroArch::Haswell);
+  cc::CometOptions opt = golden_options();
+  opt.use_kl_lucb = true;
+  opt.fuse_arm_pulls = true;
+  const cc::CometExplainer explainer(model, opt);
+  const auto expl = explainer.explain(golden_block());
+
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  EXPECT_EQ(expl.features.to_string(), "{inst2(div)}");
+  EXPECT_TRUE(expl.met_threshold);
+  EXPECT_EQ(bits(expl.precision), 4607182418800017408ull);
+  EXPECT_EQ(bits(expl.coverage), 4603879779073279044ull);
+  EXPECT_EQ(expl.model_queries, 1933u);
+  EXPECT_EQ(expl.query_stats.to_string(),
+            "requested=1933 evaluated=1473 cache_hits=460 batch_calls=79 "
+            "single_calls=0 hit_rate=0.238 batch_fill=18.6");
 }
 
 // ---------- all engine queries are batched through the broker ----------

@@ -7,6 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "riscv/cost.h"
 #include "riscv/explain.h"
@@ -376,4 +382,212 @@ TEST(RiscvExplain, ReportsQueriesAndProbabilities) {
   EXPECT_LE(e.precision, 1.0);
   EXPECT_GE(e.coverage, 0.0);
   EXPECT_LE(e.coverage, 1.0);
+}
+
+// ---------- goldens: Γ, the dependency graph and explanations ----------
+//
+// Recorded before the flat-mask rewrite of RvPerturber::sample, the lazy
+// contains(), the flag-array DepGraph::build and the reworked memo keys. A
+// pure performance change must never move them.
+
+namespace {
+
+// Hand-picked Γ blocks: RAW, WAR and WAW on one instruction pair; memory
+// hazards of every kind, at offset 2044 where the breaking shift of +8
+// would pass 2047 and steps back instead; x0 as source and destination; shift-immediates, whose
+// replacement sets is_valid narrows; and a block that uses every nonzero
+// register, so the fresh-rename pool is empty and t0 is the fallback.
+const char* const kRvGoldenBlocks[] = {
+    R"(
+      add a0, a0, a1
+      add a0, a0, a2
+      mul a3, a0, a0
+    )",
+    R"(
+      sd a0, 2044(sp)
+      ld a1, 2044(sp)
+      sw a2, 2044(sp)
+      sd a3, 16(sp)
+      sd a4, 16(sp)
+      add a5, a1, a4
+    )",
+    R"(
+      add zero, a0, a1
+      addi a2, zero, 5
+      add a3, a2, zero
+      sub zero, a3, a2
+    )",
+    R"(
+      addi a0, a1, -100
+      slli a2, a0, 3
+      srli a3, a2, 63
+      srai a0, a3, 1
+      addi a4, a0, 2000
+    )",
+    R"(
+      add x1, x2, x3
+      add x4, x5, x6
+      add x7, x8, x9
+      add x10, x11, x12
+      add x13, x14, x15
+      add x16, x17, x18
+      add x19, x20, x21
+      add x22, x23, x24
+      add x25, x26, x27
+      add x28, x29, x30
+      add x31, x1, x4
+      sub x2, x31, x28
+    )",
+};
+
+std::vector<rv::BasicBlock> rv_golden_blocks() {
+  std::vector<rv::BasicBlock> blocks;
+  for (const char* text : kRvGoldenBlocks) {
+    blocks.push_back(rv::parse_block(text));
+  }
+  for (auto& block : rv::generate_corpus(2, 99)) {
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+// Preserved sets: ∅, the first instruction, the first dependency of every
+// (kind, register/memory) pair present, and η.
+std::vector<rv::RvFeatureSet> rv_golden_preserved_sets(
+    const rv::RvPerturber& p) {
+  std::vector<rv::RvFeatureSet> sets(2);
+  sets[1].insert(
+      rv::RvFeature(rv::RvInstFeature{0, p.block().instructions[0].opcode}));
+  for (const bool memory : {false, true}) {
+    for (const auto kind :
+         {rv::DepKind::RAW, rv::DepKind::WAR, rv::DepKind::WAW}) {
+      for (const auto& e : p.dep_graph().edges()) {
+        if (e.memory != memory || e.kind != kind) continue;
+        rv::RvFeatureSet fs;
+        fs.insert(rv::RvFeature(rv::RvDepFeature{e.from, e.to, e.kind}));
+        sets.push_back(fs);
+        break;
+      }
+    }
+  }
+  rv::RvFeatureSet eta;
+  eta.insert(rv::RvFeature(rv::RvNumInstsFeature{p.block().size()}));
+  sets.push_back(eta);
+  return sets;
+}
+
+// FNV-1a over every sample's text, its original-position mapping, and the
+// contains() verdict for the preserved set and for each single feature of
+// the original block.
+std::uint64_t rv_golden_fingerprint(const rv::BasicBlock& block) {
+  const rv::RvPerturber p(block);
+  const auto vocabulary = rv::extract_features(block);
+  std::string acc;
+  Rng rng(20261019);
+  for (const auto& fs : rv_golden_preserved_sets(p)) {
+    for (int i = 0; i < 60; ++i) {
+      const auto s = p.sample(fs, rng);
+      acc += s.block.to_string();
+      for (std::size_t k : s.orig_index) acc += std::to_string(k) + ',';
+      acc += p.contains(s, fs) ? 'P' : 'p';
+      for (const auto& f : vocabulary.items()) {
+        acc += p.contains(s, rv::RvFeatureSet{}.with(f)) ? '1' : '0';
+      }
+      acc += ';';
+    }
+  }
+  return comet::util::fnv1a64(acc.data(), acc.size());
+}
+
+std::string hex_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+}  // namespace
+
+TEST(RvPerturberGolden, SampleFingerprintsAreStable) {
+  const std::uint64_t expected[] = {
+      4376762192234314640ull,  17864007151782401627ull,
+      17396885961789996204ull, 7580650474158499934ull,
+      5141076404599461562ull,  172388639373262751ull,
+      13713976170439885599ull,
+  };
+  const auto blocks = rv_golden_blocks();
+  ASSERT_EQ(blocks.size(), std::size(expected));
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(rv_golden_fingerprint(blocks[b]), expected[b]) << "block " << b;
+  }
+}
+
+TEST(RvDepGraphGolden, ToStringOverCorpusIsStable) {
+  auto blocks = rv::generate_corpus(60, 11);
+  for (auto& block : rv_golden_blocks()) blocks.push_back(std::move(block));
+  const std::uint64_t expected[2] = {7802050291725303834ull,
+                                     5240716584753389988ull};
+  for (const bool nearest_only : {true, false}) {
+    rv::DepGraphOptions options;
+    options.nearest_only = nearest_only;
+    std::string acc;
+    for (const auto& block : blocks) {
+      acc += rv::DepGraph::build(block, options).to_string();
+      acc += ';';
+    }
+    EXPECT_EQ(comet::util::fnv1a64(acc.data(), acc.size()),
+              expected[nearest_only ? 0 : 1])
+        << "nearest_only " << nearest_only;
+  }
+}
+
+TEST(RiscvExplainGolden, ExplanationsAreStable) {
+  const char* const expected[] = {
+      "{RAW(3->8)} p=3ff0000000000000 c=3fd6b851eb851eb8 met=1 q=1933"
+      " requested=1933 evaluated=1933 cache_hits=0 batch_calls=162 single_calls=0 hit_rate=0.000 batch_fill=11.9",
+      "{RAW(6->10)} p=3ff0000000000000 c=3fcb333333333333 met=1 q=1921"
+      " requested=1921 evaluated=1921 cache_hits=0 batch_calls=161 single_calls=0 hit_rate=0.000 batch_fill=11.9",
+      "{inst3(slt)} p=3fef1c71c71c71c7 c=3fe01eb851eb851f met=1 q=1933"
+      " requested=1933 evaluated=747 cache_hits=1186 batch_calls=159 single_calls=0 hit_rate=0.614 batch_fill=4.7",
+      "{RAW(5->7)} p=3fe6aaaaaaaaaaab c=3fc7333333333333 met=1 q=1933"
+      " requested=1933 evaluated=1932 cache_hits=1 batch_calls=162 single_calls=0 hit_rate=0.001 batch_fill=11.9",
+      "{RAW(3->5)} p=3fe9555555555555 c=3fd5851eb851eb85 met=1 q=1933"
+      " requested=1933 evaluated=1930 cache_hits=3 batch_calls=162 single_calls=0 hit_rate=0.002 batch_fill=11.9",
+      "{RAW(1->3)} p=3fe8e38e38e38e39 c=3fd67ae147ae147b met=1 q=1933"
+      " requested=1933 evaluated=1919 cache_hits=14 batch_calls=162 single_calls=0 hit_rate=0.007 batch_fill=11.8",
+      "{RAW(3->8)} p=3ff0000000000000 c=3fd6b851eb851eb8 met=1 q=1933"
+      " requested=1933 evaluated=1933 cache_hits=0 batch_calls=162 single_calls=0 hit_rate=0.000 batch_fill=11.9",
+      "{RAW(6->10)} p=3fed555555555555 c=3fc970a3d70a3d71 met=1 q=1921"
+      " requested=1921 evaluated=1921 cache_hits=0 batch_calls=161 single_calls=0 hit_rate=0.000 batch_fill=11.9",
+      "{inst2(lb)} p=3fec30c30c30c30c c=3fe0a3d70a3d70a4 met=1 q=1933"
+      " requested=1933 evaluated=749 cache_hits=1184 batch_calls=161 single_calls=0 hit_rate=0.613 batch_fill=4.7",
+      "{RAW(5->7)} p=3fe9c71c71c71c72 c=3fca3d70a3d70a3d met=1 q=1933"
+      " requested=1933 evaluated=1931 cache_hits=2 batch_calls=162 single_calls=0 hit_rate=0.001 batch_fill=11.9",
+      "{RAW(3->5)} p=3feaaaaaaaaaaaab c=3fd63d70a3d70a3d met=1 q=1933"
+      " requested=1933 evaluated=1932 cache_hits=1 batch_calls=162 single_calls=0 hit_rate=0.001 batch_fill=11.9",
+      "{eta(6)} p=3fe6db6db6db6db7 c=3fd628f5c28f5c29 met=1 q=1933"
+      " requested=1933 evaluated=1905 cache_hits=28 batch_calls=162 single_calls=0 hit_rate=0.014 batch_fill=11.8",
+  };
+  const rv::RvCostModel model;
+  const auto corpus = rv::generate_corpus(6, 77);
+  std::size_t k = 0;
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    rv::RvExplainOptions options;
+    options.seed = seed;
+    const rv::RvExplainer explainer(model, options);
+    for (const auto& block : corpus) {
+      const auto e = explainer.explain(block);
+      const std::string digest =
+          e.features.to_string() + " p=" + hex_bits(e.precision) +
+          " c=" + hex_bits(e.coverage) + " met=" +
+          std::to_string(e.met_threshold) +
+          " q=" + std::to_string(e.model_queries) + " " +
+          e.query_stats.to_string();
+      ASSERT_LT(k, std::size(expected));
+      EXPECT_EQ(digest, expected[k]) << "seed " << seed << " item " << k;
+      ++k;
+    }
+  }
 }

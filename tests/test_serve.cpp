@@ -501,10 +501,18 @@ TEST(ExplanationServer, BoundedQueueExertsBackpressure) {
   // no blocking submit ever waited, and the lifecycle counters balance.
   const auto snap = server.metrics().snapshot();
   for (const auto& [name, value] : snap.counters) {
-    if (name == "serve_try_submit_rejected") EXPECT_EQ(1u, value);
-    if (name == "serve_submit_blocked") EXPECT_EQ(0u, value);
-    if (name == "serve_submitted") EXPECT_EQ(4u, value);
-    if (name == "serve_completed") EXPECT_EQ(4u, value);
+    if (name == "serve_try_submit_rejected") {
+      EXPECT_EQ(1u, value);
+    }
+    if (name == "serve_submit_blocked") {
+      EXPECT_EQ(0u, value);
+    }
+    if (name == "serve_submitted") {
+      EXPECT_EQ(4u, value);
+    }
+    if (name == "serve_completed") {
+      EXPECT_EQ(4u, value);
+    }
   }
 }
 
