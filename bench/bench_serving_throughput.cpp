@@ -1,8 +1,8 @@
 // Serving-throughput bench: requests/sec of the concurrent explanation
 // server vs. the sequential path, at 1/2/4/8 workers.
 //
-// The regime that motivates the serve/ subsystem (ROADMAP: async broker,
-// sharded serving) is a model backend whose per-query latency is not this
+// The regime that motivates the serve/ subsystem (sharded serving, remote
+// shards) is a model backend whose per-query latency is not this
 // process's CPU — a remote inference service, a simulator farm, a
 // measurement rig. serve::RemoteStandInModel reproduces that regime
 // portably (including on single-core CI runners) by charging a fixed
@@ -11,9 +11,8 @@
 // verified bit-identical to its sequentially computed twin.
 //
 // Also measured, same reasoning: the engine's fused-arm-pull mode
-// (engine-level batch widening — fewer round-trips per level) and the
-// async-pipelined mode (sampling overlaps evaluation) on the sequential
-// path.
+// (engine-level batch widening — fewer round-trips per level) on the
+// sequential path.
 //
 // Acceptance gate printed explicitly: >= 2x throughput at 4 workers vs.
 // sequential, with bit-identical results.
@@ -29,6 +28,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -257,8 +257,7 @@ int main(int argc, char** argv) {
 
   // ---- engine-level levers on the sequential path ----
   // Widened batches (fuse_arm_pulls) cut the number of round-trips each
-  // level pays; async pipelining (async_inflight) overlaps sampling with
-  // the backend round-trip. Both are bit-identical to the plain path.
+  // level pays, bit-identically to the plain path.
   print_header("Engine-level levers vs. the same remote backend",
                "sequential path, crude model, same requests");
   std::size_t plain_trips = 0;
@@ -268,24 +267,6 @@ int main(int argc, char** argv) {
     }
   }
   Table levers({"mode", "wall ms", "round-trips", "identical"});
-  const auto run_mode = [&](const std::string& label, bool fuse,
-                            std::size_t inflight) {
-    std::size_t trips = 0;
-    bool ok = true;
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].key != "crude-hsw") continue;
-      cc::CometOptions opt = requests[i].options;
-      opt.fuse_arm_pulls = fuse;
-      opt.async_inflight = inflight;
-      const auto e =
-          cc::CometExplainer(*remote_crude, opt).explain(requests[i].block);
-      trips += e.query_stats.batch_calls;
-      ok = ok && identical(e, reference[i]);
-    }
-    levers.add_row({label, Table::fmt(ms_since(start), 1),
-                    std::to_string(trips), ok ? "yes" : "NO"});
-  };
   {
     const auto start = Clock::now();
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -296,18 +277,36 @@ int main(int argc, char** argv) {
     levers.add_row({"plain", Table::fmt(ms_since(start), 1),
                     std::to_string(plain_trips), "-"});
   }
-  run_mode("fused arm pulls", /*fuse=*/true, /*inflight=*/0);
-  run_mode("async inflight=3", /*fuse=*/false, /*inflight=*/3);
+  {
+    std::size_t trips = 0;
+    bool ok = true;
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (requests[i].key != "crude-hsw") continue;
+      cc::CometOptions opt = requests[i].options;
+      opt.fuse_arm_pulls = true;
+      const auto e =
+          cc::CometExplainer(*remote_crude, opt).explain(requests[i].block);
+      trips += e.query_stats.batch_calls;
+      ok = ok && identical(e, reference[i]);
+    }
+    levers.add_row({"fused arm pulls", Table::fmt(ms_since(start), 1),
+                    std::to_string(trips), ok ? "yes" : "NO"});
+  }
   std::printf("%s\n", levers.to_string().c_str());
 
   // ---- overload: priority lanes and load shedding under 2x load ----
   // Offered load is 2x what the admission queue + workers hold at once,
   // alternating interactive/batch. With shedding off, the whole backlog
-  // queues behind the bounded queue (backpressure) and interactive tail
-  // latency pays for every batch job ahead of it; with the watermark
+  // queues behind the bounded queue (backpressure); with the watermark
   // policy on, batch work is shed early (a typed refusal, never a silent
-  // drop — ok + shed always equals offered) and the interactive tail
-  // tightens. Goodput counts completed explanations only. Honors the
+  // drop — ok + shed always equals offered). Interactive latency is
+  // measured from just before submit() to the explanation's done stamp,
+  // both on obs::steady_clock(), so it includes the time the producer
+  // spends blocked in submit() on a full queue as well as queue wait and
+  // service. (The server's admit stamp is taken after that block, so it
+  // would hide backpressure whenever submit() waits.) Goodput counts
+  // completed explanations only. Honors the
   // same COMET_SERVE_WORKERS (last entry) / COMET_SERVE_JOBS overrides,
   // but never offers less than 2x capacity: below that nothing is shed
   // and the two rows would compare two unloaded runs.
@@ -341,6 +340,7 @@ int main(int argc, char** argv) {
     server.register_model("oracle-hsw", remote_oracle);
 
     const auto start = Clock::now();
+    std::unordered_map<std::uint64_t, std::uint64_t> submit_ns;  // by ticket
     for (std::size_t i = 0; i < ov_offered; ++i) {
       const Request& r = requests[i % requests.size()];
       cs::RequestOptions request;
@@ -353,7 +353,8 @@ int main(int argc, char** argv) {
       }
       cc::CometOptions job = r.options;
       job.seed = 1000 + i;  // distinct seeds: no hidden dedup
-      server.submit(r.key, r.block, job, request);
+      const std::uint64_t submitted = comet::obs::steady_clock().now_ns();
+      submit_ns[server.submit(r.key, r.block, job, request)] = submitted;
     }
     const auto results = server.drain();
     const double wall_ms = ms_since(start);
@@ -368,7 +369,7 @@ int main(int argc, char** argv) {
         if (served.lane == cs::Lane::kInteractive) {
           interactive_ms.push_back(
               static_cast<double>(served.trace.done_ns -
-                                  served.trace.admit_ns) /
+                                  submit_ns.at(served.id)) /
               1e6);
         }
       } else if (served.status == cs::ServeStatus::kShed) {

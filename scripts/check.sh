@@ -96,8 +96,9 @@ case "$MODE" in
 
   tsan)
     # Race-detection pass over the concurrent serving subsystem (the query
-    # broker underneath it and the metrics instruments inside it). Uses its
-    # own build tree so the regular incremental build stays sanitizer-free.
+    # broker underneath it, the metrics instruments inside it, and the
+    # util::ThreadPool both run on). Uses its own build tree so the regular
+    # incremental build stays sanitizer-free.
     [[ "$CLEAN" == "1" ]] && rm -rf "$TSAN_DIR"
     cmake -B "$TSAN_DIR" -S . -DCOMET_TSAN=ON "${CMAKE_ARGS[@]}"
     TSAN_TARGETS=$(cmake --build "$TSAN_DIR" --target help 2>/dev/null || true)
@@ -107,9 +108,9 @@ case "$MODE" in
     fi
     cmake --build "$TSAN_DIR" -j "$JOBS" --target test_serve \
       test_query_broker test_batch_parity test_obs test_net \
-      test_remote_shard test_traffic
+      test_remote_shard test_traffic test_util
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
-      -R 'test_serve|test_query_broker|test_batch_parity|test_obs|test_net|test_remote_shard|test_traffic'
+      -R 'test_serve|test_query_broker|test_batch_parity|test_obs|test_net|test_remote_shard|test_traffic|test_util'
     echo "check.sh: tsan serving pass green"
     ;;
 

@@ -52,6 +52,13 @@ check:
                     controls). Zero-argument wait() calls are helper
                     invocations - their blocking loop is linted where it is
                     defined.
+  layering          Dependencies point one way: util -> ISA -> cost -> core
+                    -> serve. No file under src/ outside src/serve/ may
+                    #include "serve/...", and none outside src/serve/ and
+                    src/net/ may #include "net/...". A piece two layers
+                    share lives in the lower one (util::ThreadPool serves
+                    both the cost-model batch fan-out and the shard
+                    threads), so the module graph stays a DAG.
 
 Suppression: a finding is silenced by a comment on the same line or the
 line directly above it:
@@ -230,6 +237,14 @@ _UNBOUNDED_WAIT_OK_RE = re.compile(r"\btimeout_ns\b|\bdeadline\w*\b|\bwait_for\w
 
 _STMT_END_RE = re.compile(r"[;{}]")
 
+_INCLUDE_DIR_RE = re.compile(r'^\s*#\s*include\s*[<"](\w+)/')
+
+# Top-level include directory -> the src/ subtrees allowed to include it.
+_LAYER_OWNERS = {
+    "serve": ("src/serve/",),
+    "net": ("src/serve/", "src/net/"),
+}
+
 
 def _grep_rule(pattern: re.Pattern, message: str):
     def check(relpath, raw_lines, scrubbed):
@@ -307,6 +322,32 @@ def _check_unbounded_wait(relpath, raw_lines, scrubbed):
                 "blocking wait/recv with no bound on the statement - pass a "
                 "timeout/deadline (wait_for_ns, timeout_ns) or annotate the "
                 "documented drain/backpressure contract",
+            )
+        )
+    return hits
+
+
+def _check_layering(relpath, raw_lines, scrubbed):
+    hits = []
+    for idx, line in enumerate(scrubbed):
+        # The scrubbed line keeps the directive but blanks the quoted path
+        # (and drops directives inside comments); read the path from the
+        # raw line.
+        if not line.lstrip().startswith("#"):
+            continue
+        m = _INCLUDE_DIR_RE.match(raw_lines[idx])
+        if not m or m.group(1) not in _LAYER_OWNERS:
+            continue
+        owners = _LAYER_OWNERS[m.group(1)]
+        if relpath.startswith(owners):
+            continue
+        hits.append(
+            (
+                idx,
+                f"{m.group(1)}/ included outside "
+                f"{' and '.join(owners)} - dependencies point one way "
+                "(util -> ISA -> cost -> core -> serve); move what both "
+                "layers need down a layer (e.g. util/)",
             )
         )
     return hits
@@ -445,6 +486,14 @@ RULES = [
             "(util/contract.h): a broken invariant must throw "
             "ContractViolation, not kill the process",
         ),
+    ),
+    Rule(
+        "layering",
+        "dependencies point one way (util -> ISA -> cost -> core -> serve): "
+        "no #include \"serve/...\" outside src/serve/, no #include "
+        "\"net/...\" outside src/serve/ and src/net/",
+        _in_dir("src/"),
+        _check_layering,
     ),
 ]
 

@@ -35,21 +35,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "cost/query_broker.h"
 #include "obs/clock.h"
 #include "obs/phase_timers.h"
-// Deliberate upward dependency: the engine's async_inflight mode pipelines
-// its arm pulls through serve::AsyncBroker (a thin futures layer over the
-// QueryBroker above; it does not include anything from core/, so the
-// include graph stays acyclic even though serve/'s scheduler builds on
-// this engine).
-#include "serve/async_broker.h"
 #include "util/kl_bounds.h"
 #include "util/rng.h"
 
@@ -96,14 +88,6 @@ struct AnchorSearchOptions {
   /// drops, which is the round-trip count a remote or sharded backend
   /// pays per level.
   bool fuse_arm_pulls = false;
-
-  /// When > 0, route engine queries through a serve::AsyncBroker and
-  /// pipeline the per-level initial arm pulls with up to this many batches
-  /// in flight: the engine samples arm k+1's perturbation batch while arm
-  /// k's batch evaluates on the broker worker. Evaluation stays FIFO on
-  /// one worker, so results and query accounting are bit-identical to the
-  /// synchronous path. 0 = synchronous (default).
-  std::size_t async_inflight = 0;
 
   /// Opt-in per-level phase timing (obs::PhaseTimings on the explanation):
   /// point at a clock — obs::steady_clock() in production, a ManualClock in
@@ -223,24 +207,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   const Perturber perturber = Traits::make_perturber(block, options_);
   Broker broker(model_, options_.memoize_queries);
 
-  // In async mode all traffic flows through one AsyncBroker wrapping the
-  // same broker (single FIFO evaluation worker: one cache, one ledger,
-  // deterministic accounting); the initial per-level arm pulls additionally
-  // pipeline sampling against evaluation.
-  using Async = serve::AsyncBroker<Block, Model>;
-  std::unique_ptr<Async> async;
-  if (options_.async_inflight > 0) {
-    async = std::make_unique<Async>(broker, /*workers=*/1);
-  }
-  const auto eval = [&](std::span<const Block> blocks,
-                        std::span<double> out) {
-    if (async) {
-      async->predict_batch(blocks, out);
-    } else {
-      broker.predict_batch(blocks, out);
-    }
-  };
-
   // Opt-in phase timing. Stamps are taken strictly *between* phases and
   // accumulate into the explanation's obs::PhaseTimings; no reading ever
   // feeds a search decision, so the result is bit-identical to an untimed
@@ -259,7 +225,8 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   };
 
   double base = 0.0;
-  eval(std::span<const Block>(&block, 1), std::span<double>(&base, 1));
+  broker.predict_batch(std::span<const Block>(&block, 1),
+                       std::span<double>(&base, 1));
   // Requested queries, counted with the historical semantics: every sample
   // drawn from Γ costs one query whether or not it reached the model (empty
   // perturbations are skipped, memo hits are served from cache). The true
@@ -319,7 +286,8 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         cuts.push_back(batch.size());
       }
       preds.resize(batch.size());
-      eval(std::span<const Block>(batch), std::span<double>(preds));
+      broker.predict_batch(std::span<const Block>(batch),
+                           std::span<double>(preds));
       for (std::size_t g = 0; g < group.size(); ++g) {
         score(*group[g], std::span<const double>(preds).subspan(
                              cuts[g], cuts[g + 1] - cuts[g]));
@@ -329,7 +297,8 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         batch.clear();
         sample_into(*arm, batch);
         preds.resize(batch.size());
-        eval(std::span<const Block>(batch), std::span<double>(preds));
+        broker.predict_batch(std::span<const Block>(batch),
+                             std::span<double>(preds));
         score(*arm, preds);
       }
     }
@@ -380,30 +349,11 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
 
     // --- KL-LUCB: identify the top-B arms by precision. ---
     // Every candidate gets one initial pull. This fan-out is decision-free
-    // (no arm's batch depends on another's result), so it admits both
-    // widening (fuse all batches into one) and pipelining (sample arm k+1
-    // while arm k evaluates).
+    // (no arm's batch depends on another's result), so it admits widening:
+    // fuse_arm_pulls scores all the batches with one broker query.
     std::vector<Arm*> all_arms(arms.size());
     for (std::size_t i = 0; i < arms.size(); ++i) all_arms[i] = &arms[i];
-    if (async && !options_.fuse_arm_pulls) {
-      std::deque<std::pair<Arm*, std::future<std::vector<double>>>> inflight;
-      const auto collect_one = [&] {
-        auto [arm, fut] = std::move(inflight.front());
-        inflight.pop_front();
-        const std::vector<double> arm_preds = fut.get();
-        score(*arm, arm_preds);
-      };
-      for (Arm* arm : all_arms) {
-        std::vector<Block> arm_batch;
-        arm_batch.reserve(options_.batch_size);
-        sample_into(*arm, arm_batch);
-        inflight.emplace_back(arm, async->submit(std::move(arm_batch)));
-        while (inflight.size() > options_.async_inflight) collect_one();
-      }
-      while (!inflight.empty()) collect_one();
-    } else {
-      pull_group(std::span<Arm* const>(all_arms));
-    }
+    pull_group(std::span<Arm* const>(all_arms));
     std::size_t pulls_done = arms.size();
     const std::size_t B = std::min(options_.beam_width, arms.size());
     std::vector<std::size_t> order(arms.size());

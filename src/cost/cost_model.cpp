@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <thread>
 
-// Deliberate upward dependency (mirrors core/anchor_engine.h's use of
-// serve/async_broker.h): the batch-parallel path reuses the serving layer's
-// ThreadPool instead of duplicating a second pool implementation here.
-// serve/thread_pool.h includes nothing from cost/, so the include graph
-// stays acyclic.
-#include "serve/thread_pool.h"
 #include "util/contract.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace comet::cost {
 
@@ -21,8 +16,8 @@ namespace {
 // a thread); sized to the hardware so several models can interleave chunks
 // without oversubscribing. Function-local static => thread-safe init and
 // graceful drain at exit.
-serve::ThreadPool& shared_batch_pool() {
-  static serve::ThreadPool pool(
+util::ThreadPool& shared_batch_pool() {
+  static util::ThreadPool pool(
       std::max(2u, std::thread::hardware_concurrency()));
   return pool;
 }
@@ -60,7 +55,7 @@ void CostModel::for_batch_chunks(
     fn(0, total);
     return;
   }
-  serve::ThreadPool& pool = shared_batch_pool();
+  util::ThreadPool& pool = shared_batch_pool();
   const std::size_t chunk = (total + tasks - 1) / tasks;
   ChunkJoin join;
   std::size_t posted = 0;  // touched by the calling thread only

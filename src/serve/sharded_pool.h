@@ -52,9 +52,9 @@
 
 #include "cost/query_broker.h"
 #include "obs/metrics.h"
-#include "serve/thread_pool.h"
 #include "util/rng.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace comet::serve {
 
@@ -269,7 +269,7 @@ class ShardedBrokerPool {
     obs::Gauge* hit_rate_gauge = nullptr;
     // One single-thread FIFO pool per shard: serializes all broker/model
     // access onto the shard's thread, and drains before broker/model die.
-    ThreadPool pool{1};
+    util::ThreadPool pool{1};
 
     Shard(std::shared_ptr<const Model> m, bool memoize)
         : model(std::move(m)), broker(model.get(), memoize) {}

@@ -1,12 +1,13 @@
-// A fixed-size FIFO thread pool — the execution substrate of the serving
-// layer (serve::AsyncBroker evaluation workers, shard threads, the
-// cost::CostModel batch fan-out, test harnesses).
+// A fixed-size FIFO thread pool: the one executor the library's layers
+// share (the cost::CostModel batch fan-out, the serving layer's shard
+// threads, test harnesses).
 //
 // Deliberately minimal: tasks are opaque std::function<void()>s executed in
 // submission order by whichever worker frees up first. With one worker the
-// pool is a strict FIFO executor, which is what gives AsyncBroker its
-// deterministic, bit-identical-to-sequential query accounting; more workers
-// trade that determinism for concurrency (callers opt in explicitly).
+// pool is a strict FIFO executor: posted tasks run one at a time, in post
+// order, which is what gives a one-worker shard its deterministic,
+// bit-identical-to-sequential query accounting. More workers trade that
+// ordering for concurrency (callers opt in explicitly).
 //
 // Shutdown is graceful: the destructor lets workers drain every queued task
 // before joining, so no submitted work is ever dropped.
@@ -25,7 +26,7 @@
 
 #include "util/sync.h"
 
-namespace comet::serve {
+namespace comet::util {
 
 class ThreadPool {
  public:
@@ -46,11 +47,11 @@ class ThreadPool {
  private:
   void worker_loop() COMET_EXCLUDES(mutex_);
 
-  util::Mutex mutex_;
-  util::CondVar cv_;  // signalled on new work and on shutdown
+  Mutex mutex_;
+  CondVar cv_;  // signalled on new work and on shutdown
   std::deque<std::function<void()>> tasks_ COMET_GUARDED_BY(mutex_);
   bool stopping_ COMET_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };
 
-}  // namespace comet::serve
+}  // namespace comet::util

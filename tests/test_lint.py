@@ -109,6 +109,19 @@ class RuleFiresAndSuppresses(unittest.TestCase):
                    "#pragma once\nauto t = system_clock::now();",
                    "raw-clock", line=2)
 
+    def test_layering(self):
+        self.check("src/core/anchor_engine.h",
+                   '#pragma once\n#include "serve/remote_model.h"',
+                   "layering", line=2)
+        self.check("src/cost/cost_model.cpp",
+                   '#include "cost/cost_model.h"\n'
+                   '#include "serve/sharded_pool.h"',
+                   "layering", line=2)
+        self.check("src/cost/remote.cpp", '#include "net/wire.h"',
+                   "layering")
+        self.check("src/net/socket.cpp", '#  include <serve/server.h>',
+                   "layering")
+
 
 class RuleScoping(unittest.TestCase):
     """Rules only apply where the invariant lives."""
@@ -147,6 +160,28 @@ class RuleScoping(unittest.TestCase):
             [], rules_hit("src/util/sync.h",
                           "#pragma once\n"
                           "void wait(MutexLock& lock) { cv_.wait(lock.lock_); }"))
+
+    def test_layering_silent_where_the_include_belongs(self):
+        self.assertEqual(
+            [], rules_hit("src/serve/sharded_pool.h",
+                          '#pragma once\n#include "serve/remote_model.h"\n'
+                          '#include "net/wire.h"'))
+        self.assertEqual(
+            [], rules_hit("src/net/transport.cpp", '#include "net/wire.h"'))
+        self.assertEqual(
+            [], rules_hit("tests/test_serve.cpp",
+                          '#include "serve/sharded_pool.h"\n'
+                          '#include "net/wire.h"'))
+        # Lower layers may include util/ (and each other) freely.
+        self.assertEqual(
+            [], rules_hit("src/cost/cost_model.cpp",
+                          '#include "util/thread_pool.h"'))
+
+    def test_layering_ignores_commented_includes(self):
+        self.assertEqual(
+            [], rules_hit("src/core/engine.cpp",
+                          '// #include "serve/remote_model.h"\n'
+                          '/* #include "net/wire.h" */'))
 
     def test_obs_clock_seam_is_exempt_from_raw_clock(self):
         # The seam itself wraps the real clock; steady_clock is fine
@@ -317,7 +352,8 @@ class CommandLine(unittest.TestCase):
         self.assertEqual(0, result.returncode)
         for rule in ("libm-in-nn", "raw-sync", "unchecked-io", "raw-random",
                      "stdout-in-library", "include-guard", "using-namespace",
-                     "raw-clock", "raw-assert", "unbounded-wait"):
+                     "raw-clock", "raw-assert", "unbounded-wait",
+                     "layering"):
             self.assertIn(rule, result.stdout)
 
 

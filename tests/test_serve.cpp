@@ -1,15 +1,14 @@
 // Tests for the concurrent explanation-serving subsystem (src/serve/):
-// sharded-pool result parity with a single model, AsyncBroker FIFO parity,
-// completion-order scheduler correctness under 8 worker threads,
-// bounded-queue backpressure, golden parity of the widened-batch
-// (fuse_arm_pulls) and async-pipelined engine modes, and the concurrency
-// determinism rule: served explanations are bit-identical to sequentially
-// computed ones because every request owns its RNG and broker.
+// sharded-pool result parity with a single model, completion-order
+// scheduler correctness under 8 worker threads, bounded-queue
+// backpressure, golden parity of the widened-batch (fuse_arm_pulls) engine
+// mode, and the concurrency determinism rule: served explanations are
+// bit-identical to sequentially computed ones because every request owns
+// its RNG and broker.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
-#include <future>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "riscv/cost.h"
 #include "riscv/explain.h"
 #include "riscv/parser.h"
-#include "serve/async_broker.h"
 #include "serve/isa_servers.h"
 #include "serve/sharded_cost_model.h"
 #include "serve/sharded_pool.h"
@@ -264,41 +262,7 @@ TEST(ShardedCostModel, IsADropInCostModel) {
   EXPECT_EQ(as_base.name(), "sharded-3(" + reference.name() + ")");
 }
 
-// ---------------- AsyncBroker ----------------
-
-TEST(AsyncBroker, SubmitCollectMatchesSyncBrokerIncludingLedger) {
-  const ck::CrudeModel model(ck::MicroArch::Haswell);
-  const auto blocks = test_blocks(30);
-
-  // Three batches with overlap (batch 2 repeats batch 0) to exercise the
-  // cross-batch memo path.
-  std::vector<std::vector<cx::BasicBlock>> batches;
-  batches.emplace_back(blocks.begin(), blocks.begin() + 10);
-  batches.emplace_back(blocks.begin() + 10, blocks.end());
-  batches.emplace_back(blocks.begin(), blocks.begin() + 10);
-
-  ck::QueryBroker<cx::BasicBlock, ck::CostModel> sync_broker(model);
-  std::vector<std::vector<double>> expected;
-  for (const auto& b : batches) {
-    std::vector<double> out(b.size());
-    sync_broker.predict_batch(std::span<const cx::BasicBlock>(b),
-                              std::span<double>(out));
-    expected.push_back(std::move(out));
-  }
-
-  cs::AsyncBroker<cx::BasicBlock, ck::CostModel> async(model,
-                                                       /*memoize=*/true);
-  // Submit everything up front (the overlap pattern), then collect.
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& b : batches) futures.push_back(async.submit(b));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expected[i]) << "batch " << i;
-  }
-  // Single FIFO worker: the async ledger is bit-identical to the sync one.
-  EXPECT_EQ(async.stats(), sync_broker.stats());
-}
-
-// ---------------- engine modes: widened and pipelined pulls ----------------
+// ---------------- engine mode: widened pulls ----------------
 
 TEST(EngineWidening, FusedArmPullsAreGoldenParityWithFewerRoundTrips) {
   const DivOnlyModel model;
@@ -329,22 +293,6 @@ TEST(EngineWidening, FusedArmPullsAreGoldenParityWithFewerRoundTrips) {
             sequential.query_stats.cache_hits);
   EXPECT_LT(widened.query_stats.batch_calls,
             sequential.query_stats.batch_calls);
-}
-
-TEST(EngineAsync, PipelinedArmPullsAreBitIdenticalToSync) {
-  const DivOnlyModel model;
-
-  const cc::CometExplainer plain(model, golden_options());
-  const auto sequential = plain.explain(golden_block());
-
-  cc::CometOptions async_opt = golden_options();
-  async_opt.async_inflight = 3;
-  const cc::CometExplainer pipelined(model, async_opt);
-  const auto async = pipelined.explain(golden_block());
-
-  expect_identical(async, sequential);
-  // One FIFO evaluation worker → even the broker ledger is identical.
-  EXPECT_EQ(async.query_stats, sequential.query_stats);
 }
 
 // ---------------- ExplanationServer: scheduling ----------------

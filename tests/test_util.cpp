@@ -1,15 +1,22 @@
 // Unit tests for comet::util — RNG determinism and distributional sanity,
-// statistics, KL confidence bounds, table rendering, string helpers.
+// statistics, KL confidence bounds, table rendering, string helpers, and
+// the ThreadPool's FIFO and drain-on-destruction contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/kl_bounds.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/str.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace cu = comet::util;
 
@@ -324,4 +331,62 @@ TEST(Str, FormatFixed) {
   EXPECT_EQ(cu::format_fixed(0.0, 2), "0.00");
   EXPECT_EQ(cu::format_fixed(-2.5, 1), "-2.5");
   EXPECT_EQ(cu::format_fixed(12.3456, 0), "12");
+}
+
+// ---------- ThreadPool ----------
+
+// A one-worker pool is a strict FIFO executor; ShardedBrokerPool's per-shard
+// pool{1} relies on it for sequential-identical query accounting. The
+// worker is held on a gate until every task is queued, so the order checked
+// is the queue's, not the order in which post() happened to be called.
+TEST(ThreadPool, OneWorkerRunsPostedTasksInPostOrder) {
+  constexpr std::size_t kTasks = 500;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::vector<std::size_t> ran;  // touched only by the single worker
+  {
+    cu::ThreadPool pool(1);
+    EXPECT_EQ(pool.size(), 1u);
+    pool.post([opened] { opened.wait(); });
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      pool.post([&ran, i] { ran.push_back(i); });
+    }
+    gate.set_value();
+  }  // the destructor joins the worker, publishing `ran`
+  ASSERT_EQ(ran.size(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(ran[i], i);
+}
+
+// Destruction is a graceful drain: tasks still queued when the destructor
+// starts all run before the workers join. Both workers are held on a gate
+// that opens only after the destructor has been entered (or shortly before;
+// the drain contract must hold either way).
+TEST(ThreadPool, DestructorDrainsEveryQueuedTaskBeforeJoining) {
+  constexpr int kTasks = 200;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> done{0};
+  std::thread opener;
+  {
+    cu::ThreadPool pool(2);
+    EXPECT_EQ(pool.size(), 2u);
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      pool.post([opened] { opened.wait(); });
+    }
+    for (int i = 0; i < kTasks; ++i) {
+      pool.post([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    }
+    EXPECT_EQ(done.load(), 0);  // both workers are parked on the gate
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.set_value();
+    });
+  }
+  opener.join();
+  EXPECT_EQ(done.load(), kTasks);
+}
+
+TEST(ThreadPool, ZeroThreadsMeansOneWorker) {
+  cu::ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 1u);
 }
